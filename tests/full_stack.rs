@@ -6,7 +6,7 @@ use rio::sim::SimTime;
 use rio::ssd::SsdProfile;
 use rio::stack::crash::run_crash_recovery;
 use rio::stack::{
-    Cluster, ClusterConfig, FabricConfig, FaultPlan, InitiatorConfig, OrderingMode,
+    Cluster, ClusterConfig, FabricConfig, FaultPlan, InitiatorConfig, OrderingMode, RunMetrics,
     TelemetryConfig, TraceConfig, Workload,
 };
 use rio::workloads::{MiniKv, Varmail};
@@ -18,6 +18,14 @@ fn small(mode: OrderingMode, threads: usize) -> ClusterConfig {
     cfg.qps_per_target = 8;
     cfg.max_inflight_per_stream = 16;
     cfg
+}
+
+/// CRC-32C over a run's whole `RunMetrics` rendering. `a == b` only
+/// pins a snapshot within one build; the committed golden digest pins
+/// it across commits, so a refactor that changes the model in the same
+/// way on both runs still fails.
+fn digest(m: &RunMetrics) -> u32 {
+    rio::proto::crc32c(format!("{m:?}").as_bytes())
 }
 
 #[test]
@@ -75,11 +83,11 @@ fn run_metrics_snapshot_identical_across_all_modes() {
     // same `(config, seed)` must reproduce the *entire* `RunMetrics` —
     // every counter, histogram bucket and utilisation figure — so slab,
     // ring or heap refactors cannot silently change replay behavior.
-    for mode in [
-        OrderingMode::Orderless,
-        OrderingMode::LinuxNvmf,
-        OrderingMode::Horae,
-        OrderingMode::Rio { merge: true },
+    for (mode, golden) in [
+        (OrderingMode::Orderless, 0xdb73_1766u32),
+        (OrderingMode::LinuxNvmf, 0x01fc_cf08),
+        (OrderingMode::Horae, 0x9a63_e454),
+        (OrderingMode::Rio { merge: true }, 0xa009_073b),
     ] {
         let groups = if mode == OrderingMode::LinuxNvmf {
             60
@@ -91,6 +99,7 @@ fn run_metrics_snapshot_identical_across_all_modes() {
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} replay diverged", mode.label());
+        assert_eq!(digest(&a), golden, "{} moved off its golden digest", mode.label());
         assert!(a.events_processed > 0, "{} processed no events", mode.label());
         assert_eq!(
             a.events_processed,
@@ -108,11 +117,11 @@ fn run_metrics_snapshot_identical_on_a_lossy_fabric() {
     // seeded rng, so the same `(config, seed)` must still reproduce
     // the entire `RunMetrics` — including the fabric counters — for
     // every ordering engine.
-    for mode in [
-        OrderingMode::Orderless,
-        OrderingMode::LinuxNvmf,
-        OrderingMode::Horae,
-        OrderingMode::Rio { merge: true },
+    for (mode, golden) in [
+        (OrderingMode::Orderless, 0xe2de_7b92u32),
+        (OrderingMode::LinuxNvmf, 0x0c70_53bb),
+        (OrderingMode::Horae, 0x82b8_98d5),
+        (OrderingMode::Rio { merge: true }, 0xb633_9788),
     ] {
         let groups = if mode == OrderingMode::LinuxNvmf {
             60
@@ -127,6 +136,7 @@ fn run_metrics_snapshot_identical_on_a_lossy_fabric() {
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} lossy replay diverged", mode.label());
+        assert_eq!(digest(&a), golden, "{} lossy run moved off its golden digest", mode.label());
         assert!(a.net.drops > 0, "{}: 5% loss must drop packets", mode.label());
         assert!(
             a.net.retransmits > 0,
@@ -166,6 +176,7 @@ fn run_metrics_snapshot_identical_with_crash_under_loss() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "crash-under-loss replay diverged");
+    assert_eq!(digest(&a), 0x9270_8557, "crash-under-loss run moved off its golden digest");
     assert_eq!(a.groups_done, 1_200, "crash must not lose or double groups");
     assert_eq!(a.recoveries.len(), 1);
     assert_eq!(a.epochs.len(), 2);
@@ -190,6 +201,7 @@ fn run_metrics_snapshot_identical_with_multi_initiator_crash_under_loss() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "multi-initiator crash-under-loss replay diverged");
+    assert_eq!(digest(&a), 0xa106_bcf7, "multi-initiator crash run moved off its golden digest");
     assert_eq!(a.groups_done, 1_200, "crash must not lose or double groups");
     assert_eq!(a.recoveries.len(), 1);
     assert_eq!(a.initiators.len(), 3);
@@ -252,11 +264,11 @@ fn run_metrics_snapshot_identical_with_tracing_enabled() {
     // `LatencyBreakdown` histograms and every trace record included —
     // must still be a pure function of `(config, seed)`, across all
     // four engines, over a lossy fabric, and through a crash.
-    for mode in [
-        OrderingMode::Orderless,
-        OrderingMode::LinuxNvmf,
-        OrderingMode::Horae,
-        OrderingMode::Rio { merge: true },
+    for (mode, golden) in [
+        (OrderingMode::Orderless, 0x0903_7437u32),
+        (OrderingMode::LinuxNvmf, 0x369c_a38f),
+        (OrderingMode::Horae, 0x8a86_aa89),
+        (OrderingMode::Rio { merge: true }, 0x0670_9e19),
     ] {
         let groups = if mode == OrderingMode::LinuxNvmf {
             60
@@ -272,6 +284,7 @@ fn run_metrics_snapshot_identical_with_tracing_enabled() {
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} traced replay diverged", mode.label());
+        assert_eq!(digest(&a), golden, "{} traced run moved off its golden digest", mode.label());
         let bd = a.breakdown.as_ref().expect("tracing was on");
         assert!(bd.completed > 0, "{} traced no commands", mode.label());
     }
@@ -291,6 +304,7 @@ fn run_metrics_snapshot_identical_with_tracing_enabled() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "traced crash-under-loss replay diverged");
+    assert_eq!(digest(&a), 0xb78d_9ed4, "traced crash run moved off its golden digest");
     assert!(a.breakdown.as_ref().unwrap().aborted > 0, "crash strands traces");
 }
 
