@@ -49,12 +49,9 @@ enum Event {
     Resume(usize),
     /// A command SEND was delivered at its target.
     CmdArrive(u64),
-    /// A command capsule's go-back-N timeout fired; resend the window.
-    CmdResend(u64),
-    /// A command's data pull timeout fired; resend the window.
-    DataResend(u64),
-    /// A command's completion capsule timeout fired; resend the window.
-    CompResend(u64),
+    /// A go-back-N timeout fired on one leg of a command; resend the
+    /// window.
+    Resend(u64, Leg),
     /// A command is ready for SSD submission (gate passed + data in).
     SsdSubmit(u64),
     /// A command's embedded FLUSH may be submitted.
@@ -71,6 +68,16 @@ enum Event {
     CtrlAck { thread: usize },
     /// A scheduled fault fires (index into the config's `FaultPlan`).
     Fault(u32),
+}
+
+/// The three wire legs of one command, run strictly in sequence: the
+/// capsule to the target, the target's RDMA READ of the data, and the
+/// completion capsule back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    Capsule,
+    DataPull,
+    Completion,
 }
 
 /// NVMe-oF command capsule size on the wire (64 B SQE + headers).
@@ -124,6 +131,41 @@ struct Cmd {
     /// Stage-trace slot of this command ([`TRACE_NONE`] when tracing
     /// is off; assigned by `send_cmd`).
     trace: u32,
+}
+
+impl Cmd {
+    /// A command about to be posted: nothing on the wire yet, not
+    /// through the gate, no PMR slot or trace. Writes add their tag,
+    /// unit, ordering attribute, embedded FLUSH and payload digest.
+    fn new(
+        kind: CmdKind,
+        thread: usize,
+        target: usize,
+        ssd: usize,
+        qp: usize,
+        phys: BlockRange,
+    ) -> Cmd {
+        Cmd {
+            kind,
+            thread,
+            target,
+            ssd,
+            qp,
+            phys,
+            tag: 0,
+            attr: None,
+            flush_embedded: false,
+            unit: u64::MAX,
+            data_ready: SimTime::FAR_FUTURE,
+            driver_ready: SimTime::FAR_FUTURE,
+            retx_pkts: 0,
+            retx_bytes: 0,
+            retx_corrupt: false,
+            digest: PayloadDigest::NONE,
+            slot: None,
+            trace: TRACE_NONE,
+        }
+    }
 }
 
 /// One logical dispatch unit: a (possibly merged) request whose
@@ -474,9 +516,15 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics on inconsistent configuration (zero threads, streams
-    /// fewer than threads, or targets without SSDs).
+    /// fewer than threads, targets without SSDs, no QPs per target, or
+    /// a zero in-flight window).
     pub fn new(cfg: ClusterConfig, workload: Workload) -> Self {
         assert!(workload.threads > 0, "need at least one thread");
+        assert!(cfg.qps_per_target >= 1, "need at least one QP per target");
+        assert!(
+            cfg.max_inflight_per_stream >= 1,
+            "need an in-flight window of at least one group per stream"
+        );
         let init_cfgs = cfg.effective_initiators();
         let total_streams = cfg.total_streams();
         if cfg.initiators.is_empty() {
@@ -952,9 +1000,7 @@ impl Cluster {
         match ev {
             Event::Resume(t) => self.on_resume(now, t),
             Event::CmdArrive(c) => self.on_cmd_arrive(now, c),
-            Event::CmdResend(c) => self.on_cmd_resend(now, c),
-            Event::DataResend(c) => self.on_data_resend(now, c),
-            Event::CompResend(c) => self.on_comp_resend(now, c),
+            Event::Resend(c, leg) => self.on_resend(now, c, leg),
             Event::SsdSubmit(c) => self.on_ssd_submit(now, c),
             Event::SsdFlushSubmit(c) => self.on_ssd_flush_submit(now, c),
             Event::SsdWriteDone(c) => self.on_ssd_write_done(now, c),
@@ -1178,46 +1224,7 @@ impl Cluster {
             self.initiators[self.threads[t].init]
                 .sequencer
                 .stamp_dispatch(frag, ext.server);
-            let tag = frag.seq_start.0 as u64;
-            let digest = if self.integrity {
-                // Stamp the command's payload digest at submission,
-                // charging the per-block CRC pass to the app core.
-                cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * ext.range.blocks as u64);
-                let stream = self.threads[t].stream.0;
-                let lba = ext.range.lba;
-                PayloadDigest::over_seeds(
-                    (0..ext.range.blocks as u64).map(|j| payload::seed_for(stream, tag, lba + j)),
-                )
-            } else {
-                PayloadDigest::NONE
-            };
-            let stamped = cpu;
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
-            let qp = self.pick_qp(self.threads[t].stream.0 as usize);
-            self.send_cmd(
-                cpu,
-                stamped,
-                Cmd {
-                    kind: CmdKind::Write,
-                    thread: t,
-                    target: ext.server.0 as usize,
-                    ssd: ext.ssd,
-                    qp,
-                    phys: ext.range,
-                    tag,
-                    attr: Some(*frag),
-                    flush_embedded: frag.flush,
-                    unit: unit_id,
-                    data_ready: SimTime::FAR_FUTURE,
-                    driver_ready: SimTime::FAR_FUTURE,
-                    retx_pkts: 0,
-                    retx_bytes: 0,
-                    retx_corrupt: false,
-                    digest,
-                    slot: None,
-                    trace: TRACE_NONE,
-                },
-            );
+            cpu = self.post_write(cpu, t, ext, unit_id, Some(*frag), frag.flush);
         }
         self.extent_scratch = extents;
         self.slice_scratch = slices;
@@ -1333,46 +1340,57 @@ impl Cluster {
             tm.group_submitted(cpu, groups);
         }
         for ext in &extents {
-            let digest = if self.integrity {
-                cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * ext.range.blocks as u64);
-                let stream = self.threads[t].stream.0;
-                let lba = ext.range.lba;
-                PayloadDigest::over_seeds(
-                    (0..ext.range.blocks as u64)
-                        .map(|j| payload::seed_for(stream, unit_id, lba + j)),
-                )
-            } else {
-                PayloadDigest::NONE
-            };
-            let stamped = cpu;
-            cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
-            let qp = self.pick_qp(self.threads[t].stream.0 as usize);
-            self.send_cmd(
-                cpu,
-                stamped,
-                Cmd {
-                    kind: CmdKind::Write,
-                    thread: t,
-                    target: ext.server.0 as usize,
-                    ssd: ext.ssd,
-                    qp,
-                    phys: ext.range,
-                    tag: unit_id,
-                    attr: None,
-                    flush_embedded,
-                    unit: unit_id,
-                    data_ready: SimTime::FAR_FUTURE,
-                    driver_ready: SimTime::FAR_FUTURE,
-                    retx_pkts: 0,
-                    retx_bytes: 0,
-                    retx_corrupt: false,
-                    digest,
-                    slot: None,
-                    trace: TRACE_NONE,
-                },
-            );
+            cpu = self.post_write(cpu, t, ext, unit_id, None, flush_embedded);
         }
         self.extent_scratch = extents;
+        cpu
+    }
+
+    /// Posts one write of thread `t` covering `ext` for dispatch unit
+    /// `unit` and returns the CPU cursor. Rio writes carry their
+    /// ordering attribute and are tagged by its first sequence number;
+    /// baseline writes are tagged by their unit. On integrity runs the
+    /// payload digest is stamped first, its per-block CRC pass charged
+    /// to the app core.
+    fn post_write(
+        &mut self,
+        mut cpu: SimTime,
+        t: usize,
+        ext: &rio_block::Extent,
+        unit: u64,
+        attr: Option<OrderingAttr>,
+        flush_embedded: bool,
+    ) -> SimTime {
+        let tag = attr.map_or(unit, |a| a.seq_start.0 as u64);
+        let digest = if self.integrity {
+            cpu = self.init_run_on(t, cpu, self.cfg.cpu.crc_per_block * ext.range.blocks as u64);
+            let stream = self.threads[t].stream.0;
+            let lba = ext.range.lba;
+            PayloadDigest::over_seeds(
+                (0..ext.range.blocks as u64).map(|j| payload::seed_for(stream, tag, lba + j)),
+            )
+        } else {
+            PayloadDigest::NONE
+        };
+        let stamped = cpu;
+        cpu = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
+        let qp = self.pick_qp(self.threads[t].stream.0 as usize);
+        let cmd = Cmd {
+            tag,
+            attr,
+            flush_embedded,
+            unit,
+            digest,
+            ..Cmd::new(
+                CmdKind::Write,
+                t,
+                ext.server.0 as usize,
+                ext.ssd,
+                qp,
+                ext.range,
+            )
+        };
+        self.send_cmd(cpu, stamped, cmd);
         cpu
     }
 
@@ -1593,49 +1611,38 @@ impl Cluster {
         self.map_scratch = mapped;
     }
 
-    /// Applies one fabric transfer step to command `id`: a delivery
-    /// schedules `done(id)` at the arrival instant; a drop parks the
-    /// command's go-back-N window and schedules `retry(id)` at the
-    /// recovery timeout.
-    fn schedule_xfer(
-        &mut self,
-        id: u64,
-        bytes: u64,
-        step: rio_net::XferStep,
-        done: fn(u64) -> Event,
-        retry: fn(u64) -> Event,
-    ) {
+    /// Applies one fabric transfer step on `leg` of command `id`. A
+    /// delivered capsule schedules its arrival event; a delivered data
+    /// pull marks the data in and may submit the write. A drop parks the
+    /// leg's go-back-N window on the command and schedules its resend at
+    /// the recovery timeout.
+    fn schedule_xfer(&mut self, id: u64, bytes: u64, step: rio_net::XferStep, leg: Leg) {
         match step {
-            rio_net::XferStep::Delivered { at } => self.events.push(at, done(id)),
+            rio_net::XferStep::Delivered { at } => match leg {
+                Leg::Capsule => self.events.push(at, Event::CmdArrive(id)),
+                Leg::Completion => self.events.push(at, Event::CmdComplete(id)),
+                Leg::DataPull => {
+                    self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
+                    self.try_ssd_submit(id);
+                }
+            },
             rio_net::XferStep::Dropped {
                 resume_at,
                 pkts_left,
                 corrupted,
-            } => self.park_retx(id, bytes, resume_at, pkts_left, corrupted, retry),
+            } => {
+                let cmd = self.cmds.get_mut(id).expect("cmd exists");
+                cmd.retx_pkts = pkts_left;
+                cmd.retx_bytes = bytes;
+                cmd.retx_corrupt = corrupted;
+                self.events.push(resume_at, Event::Resend(id, leg));
+            }
         }
-    }
-
-    /// Records a dropped leg's remaining window on the command and
-    /// schedules its resend event.
-    fn park_retx(
-        &mut self,
-        id: u64,
-        bytes: u64,
-        resume_at: SimTime,
-        pkts_left: u32,
-        corrupted: bool,
-        retry: fn(u64) -> Event,
-    ) {
-        let cmd = self.cmds.get_mut(id).expect("cmd exists");
-        cmd.retx_pkts = pkts_left;
-        cmd.retx_bytes = bytes;
-        cmd.retx_corrupt = corrupted;
-        self.events.push(resume_at, retry(id));
     }
 
     /// Sends one command capsule over the fabric: either it arrives at
     /// the target (`CmdArrive`) or a packet drops and the go-back-N
-    /// timeout is scheduled as a `CmdResend` event. `stamped` is the
+    /// timeout is scheduled as a `Resend` event. `stamped` is the
     /// instant the command was stamped/generated, before the post CPU
     /// charge — the head of its stage trace.
     fn send_cmd(&mut self, now: SimTime, stamped: SimTime, mut cmd: Cmd) {
@@ -1671,13 +1678,15 @@ impl Cluster {
         let step =
             self.fabric
                 .send_burst(&mut self.initiators[init].nic, qp, now, CMD_CAPSULE_BYTES);
-        self.schedule_xfer(id, CMD_CAPSULE_BYTES, step, Event::CmdArrive, Event::CmdResend);
+        self.schedule_xfer(id, CMD_CAPSULE_BYTES, step, Leg::Capsule);
     }
 
-    /// A command capsule's retransmission timeout fired: resend the
-    /// window from the lost packet.
-    fn on_cmd_resend(&mut self, now: SimTime, id: u64) {
-        let (target, qp, pkts, bytes, tid, corrupt, init) = {
+    /// A go-back-N timeout fired on `leg` of command `id`: resend the
+    /// window from the lost packet. The capsule goes out on the
+    /// initiator's NIC, the data pull and the completion on the
+    /// target's.
+    fn on_resend(&mut self, now: SimTime, id: u64, leg: Leg) {
+        let (target, qp, pkts, bytes, tid, corrupt, thread) = {
             let cmd = self.cmds.get(id).expect("cmd exists");
             (
                 cmd.target,
@@ -1686,50 +1695,23 @@ impl Cluster {
                 cmd.retx_bytes,
                 cmd.trace,
                 cmd.retx_corrupt,
-                self.threads[cmd.thread].init,
+                cmd.thread,
             )
         };
-        if let Some(tr) = &mut self.trace {
-            // The whole remaining window goes back on the wire this
-            // round (go-back-N), each packet counted exactly once.
-            if corrupt {
-                tr.retx_corrupt(tid, pkts);
-            } else {
-                tr.retx(tid, pkts);
-            }
-        }
-        if let Some(tm) = &mut self.telemetry {
-            tm.retx_initiator(now, init, pkts, if corrupt { pkts } else { 0 });
-        }
-        let qp = self.target_qp(target, qp);
-        let step = self
-            .fabric
-            .resume_send(&mut self.initiators[init].nic, qp, now, pkts, bytes);
-        self.schedule_xfer(id, bytes, step, Event::CmdArrive, Event::CmdResend);
-    }
-
-    /// A data pull's retransmission timeout fired: resend the window.
-    fn on_data_resend(&mut self, now: SimTime, id: u64) {
-        let (target, qp, pkts, bytes, tid, corrupt, init) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                cmd.qp,
-                cmd.retx_pkts,
-                cmd.retx_bytes,
-                cmd.trace,
-                cmd.retx_corrupt,
-                self.threads[cmd.thread].init,
-            )
-        };
+        let init = self.threads[thread].init;
         // `pkts > packets_for(bytes)` encodes a lost pull *request*:
         // this round retransmits only that one header packet — the
         // data window, never transmitted, goes out as a first try
         // and must not be annotated (it is not counted as a wire
         // retransmission either).
-        let wire = self.fabric.profile().packets_for(bytes);
-        let n = if pkts > wire { 1 } else { pkts };
+        let n = if leg == Leg::DataPull && pkts > self.fabric.profile().packets_for(bytes) {
+            1
+        } else {
+            pkts
+        };
         if let Some(tr) = &mut self.trace {
+            // The whole remaining window goes back on the wire this
+            // round (go-back-N), each packet counted exactly once.
             if corrupt {
                 tr.retx_corrupt(tid, n);
             } else {
@@ -1737,56 +1719,36 @@ impl Cluster {
             }
         }
         if let Some(tm) = &mut self.telemetry {
-            tm.retx_target(now, target, n, if corrupt { n } else { 0 });
-        }
-        let init_qp = self.target_qp(target, qp);
-        match self.fabric.resume_pull(
-            &mut self.targets[target].nic,
-            &mut self.initiators[init].nic,
-            init_qp,
-            now,
-            pkts,
-            bytes,
-        ) {
-            rio_net::XferStep::Delivered { at } => {
-                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
-                self.try_ssd_submit(id);
+            let bad = if corrupt { n } else { 0 };
+            match leg {
+                Leg::Capsule => tm.retx_initiator(now, init, n, bad),
+                Leg::DataPull | Leg::Completion => tm.retx_target(now, target, n, bad),
             }
-            rio_net::XferStep::Dropped {
-                resume_at,
-                pkts_left,
-                corrupted,
-            } => self.park_retx(id, bytes, resume_at, pkts_left, corrupted, Event::DataResend),
         }
-    }
-
-    /// A completion capsule's retransmission timeout fired.
-    fn on_comp_resend(&mut self, now: SimTime, id: u64) {
-        let (target, qp, pkts, bytes, tid, corrupt) = {
-            let cmd = self.cmds.get(id).expect("cmd exists");
-            (
-                cmd.target,
-                self.conn_qp(cmd.thread, cmd.qp),
-                cmd.retx_pkts,
-                cmd.retx_bytes,
-                cmd.trace,
-                cmd.retx_corrupt,
-            )
+        let step = match leg {
+            Leg::Capsule => {
+                let qp = self.target_qp(target, qp);
+                self.fabric
+                    .resume_send(&mut self.initiators[init].nic, qp, now, pkts, bytes)
+            }
+            Leg::DataPull => {
+                let init_qp = self.target_qp(target, qp);
+                self.fabric.resume_pull(
+                    &mut self.targets[target].nic,
+                    &mut self.initiators[init].nic,
+                    init_qp,
+                    now,
+                    pkts,
+                    bytes,
+                )
+            }
+            Leg::Completion => {
+                let qp = self.conn_qp(thread, qp);
+                self.fabric
+                    .resume_send(&mut self.targets[target].nic, qp, now, pkts, bytes)
+            }
         };
-        if let Some(tr) = &mut self.trace {
-            if corrupt {
-                tr.retx_corrupt(tid, pkts);
-            } else {
-                tr.retx(tid, pkts);
-            }
-        }
-        if let Some(tm) = &mut self.telemetry {
-            tm.retx_target(now, target, pkts, if corrupt { pkts } else { 0 });
-        }
-        let step = self
-            .fabric
-            .resume_send(&mut self.targets[target].nic, qp, now, pkts, bytes);
-        self.schedule_xfer(id, bytes, step, Event::CmdComplete, Event::CompResend);
+        self.schedule_xfer(id, bytes, step, leg);
     }
 
     /// Schedules the SSD submission once both halves of a command are
@@ -1848,24 +1810,17 @@ impl Cluster {
         // Pull the data blocks with a one-sided RDMA READ (overlaps any
         // gate wait). A dropped packet parks the pull in go-back-N
         // recovery; `data_ready` stays FAR_FUTURE until the resend
-        // completes and the submission waits for it.
+        // completes and the submission waits for it. The driver side
+        // is not ready yet, so a delivered pull submits nothing here.
         let init_qp = self.target_qp(target_idx, qp);
-        match self.fabric.pull_burst(
+        let step = self.fabric.pull_burst(
             &mut self.targets[target_idx].nic,
             &mut self.initiators[init].nic,
             init_qp,
             recv_done,
             bytes,
-        ) {
-            rio_net::XferStep::Delivered { at } => {
-                self.cmds.get_mut(id).expect("cmd exists").data_ready = at;
-            }
-            rio_net::XferStep::Dropped {
-                resume_at,
-                pkts_left,
-                corrupted,
-            } => self.park_retx(id, bytes, resume_at, pkts_left, corrupted, Event::DataResend),
-        }
+        );
+        self.schedule_xfer(id, bytes, step, Leg::DataPull);
 
         if let Some(attr) = attr {
             // Apply the release piggyback for this stream.
@@ -2152,14 +2107,7 @@ impl Cluster {
         if is_rio && plp {
             // PLP drives: data is durable at completion; toggle the
             // persist bit now (step ⑦).
-            if let Some(slot) = slot_opt {
-                let target = &mut self.targets[target_idx];
-                let w = target.log.as_ref().expect("rio target").mark_persist(slot);
-                target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
-            }
-            cpu = self.targets[target_idx]
-                .cores
-                .run_on(core, cpu, self.cfg.cpu.pmr_toggle);
+            cpu = self.toggle_persist(cpu, target_idx, core, slot_opt);
         }
         self.send_completion(cpu, id);
     }
@@ -2184,16 +2132,26 @@ impl Cluster {
         if is_rio {
             // Non-PLP durability: only the FLUSH carrier's persist bit
             // is toggled; it vouches for everything before it (§4.3.2).
-            if let Some(slot) = slot_opt {
-                let target = &mut self.targets[target_idx];
-                let w = target.log.as_ref().expect("rio target").mark_persist(slot);
-                target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
-            }
-            cpu = self.targets[target_idx]
-                .cores
-                .run_on(core, cpu, self.cfg.cpu.pmr_toggle);
+            cpu = self.toggle_persist(cpu, target_idx, core, slot_opt);
         }
         self.send_completion(cpu, id);
+    }
+
+    /// Sets the persist bit of a Rio command's PMR record, if it holds
+    /// a slot, and charges the toggle on `core`.
+    fn toggle_persist(
+        &mut self,
+        cpu: SimTime,
+        target_idx: usize,
+        core: usize,
+        slot: Option<SlotRef>,
+    ) -> SimTime {
+        let target = &mut self.targets[target_idx];
+        if let Some(slot) = slot {
+            let w = target.log.as_ref().expect("rio target").mark_persist(slot);
+            target.ssds[0].pmr_mut().mmio_write(w.offset, &w.bytes);
+        }
+        target.cores.run_on(core, cpu, self.cfg.cpu.pmr_toggle)
     }
 
     /// Sends the completion capsule back to the initiator (with the
@@ -2209,7 +2167,7 @@ impl Cluster {
             now,
             COMPLETION_BYTES,
         );
-        self.schedule_xfer(id, COMPLETION_BYTES, step, Event::CmdComplete, Event::CompResend);
+        self.schedule_xfer(id, COMPLETION_BYTES, step, Leg::Completion);
     }
 
     // ---- completion side ---------------------------------------------------
@@ -2256,27 +2214,23 @@ impl Cluster {
                 self.initiators[init].completer.on_done_into(part, &mut delivered);
             }
             let stream = unit.parts[0].stream;
-            if let Some(tr) = &mut self.trace {
-                // Commands delivered through the in-order completer
-                // close now; sample its held-back pressure too.
-                if let Some(&last) = delivered.last() {
-                    tr.deliver(stream.0 as usize, last.0, cpu);
+            if self.trace.is_some() || self.telemetry.is_some() {
+                let held: usize = self
+                    .initiators
+                    .iter()
+                    .map(|i| i.completer.total_pending())
+                    .sum();
+                if let Some(tr) = &mut self.trace {
+                    // Commands delivered through the in-order completer
+                    // close now; sample its held-back pressure too.
+                    if let Some(&last) = delivered.last() {
+                        tr.deliver(stream.0 as usize, last.0, cpu);
+                    }
+                    tr.note_completer_held(held as u64);
                 }
-                let held: usize = self
-                    .initiators
-                    .iter()
-                    .map(|i| i.completer.total_pending())
-                    .sum();
-                tr.note_completer_held(held as u64);
-            }
-            if self.telemetry.is_some() {
-                let held: usize = self
-                    .initiators
-                    .iter()
-                    .map(|i| i.completer.total_pending())
-                    .sum();
-                let tm = self.telemetry.as_mut().expect("checked above");
-                tm.completer_pending(cpu, held as u64);
+                if let Some(tm) = &mut self.telemetry {
+                    tm.completer_pending(cpu, held as u64);
+                }
             }
             for &seq in &delivered {
                 let info = self.group_info[stream.0 as usize]
@@ -2289,66 +2243,53 @@ impl Cluster {
                         "replay buffer out of sync with in-order delivery"
                     );
                 }
-                self.groups_done += 1;
-                self.blocks_done += info.blocks as u64;
-                if let Some(tm) = &mut self.telemetry {
-                    tm.delivered(cpu, 1, info.blocks as u64);
-                }
-                self.group_latency.record(cpu.since(info.submitted));
-                self.last_completion = self.last_completion.max(cpu);
+                let owner = info.thread;
+                self.note_delivered(owner, 1, info.blocks as u64, info.submitted, cpu);
                 self.released_through[stream.0 as usize] =
                     self.released_through[stream.0 as usize].max(seq.0);
-                let owner = info.thread;
-                let owner_init = self.threads[owner].init;
-                let im = &mut self.initiators[owner_init];
-                im.groups_done += 1;
-                im.blocks_done += info.blocks as u64;
-                im.group_latency.record(cpu.since(info.submitted));
-                im.finished_at = im.finished_at.max(cpu);
                 self.threads[owner].inflight -= 1;
                 self.maybe_wake(cpu, owner);
             }
             self.delivered_scratch = delivered;
         } else {
-            match self.mode_kind {
-                ModeKind::Linux => {
-                    // Write leg finished; issue the FLUSH leg.
-                    self.groups_done += unit.plain_groups;
-                    self.blocks_done += unit.blocks as u64;
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.delivered(cpu, unit.plain_groups, unit.blocks as u64);
-                    }
-                    self.group_latency.record(cpu.since(unit.submitted));
-                    self.last_completion = self.last_completion.max(cpu);
-                    self.note_plain_done(t, &unit, cpu);
-                    self.on_sync_write_complete(cpu, t, &cmd);
-                }
-                _ => {
-                    // Orderless / Horae data path.
-                    self.groups_done += unit.plain_groups;
-                    self.blocks_done += unit.blocks as u64;
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.delivered(cpu, unit.plain_groups, unit.blocks as u64);
-                    }
-                    self.group_latency.record(cpu.since(unit.submitted));
-                    self.last_completion = self.last_completion.max(cpu);
-                    self.note_plain_done(t, &unit, cpu);
-                    self.threads[t].inflight -= unit.plain_groups as usize;
-                    self.maybe_wake(cpu, t);
-                }
+            let blocks = unit.blocks as u64;
+            self.note_delivered(t, unit.plain_groups, blocks, unit.submitted, cpu);
+            if self.mode_kind == ModeKind::Linux {
+                // Write leg finished; issue the FLUSH leg.
+                self.on_sync_write_complete(cpu, t, &cmd);
+            } else {
+                // Orderless / Horae data path.
+                self.threads[t].inflight -= unit.plain_groups as usize;
+                self.maybe_wake(cpu, t);
             }
         }
     }
 
-    /// Folds a finished baseline (non-Rio) unit into its owning
-    /// initiator's per-initiator breakdown.
-    fn note_plain_done(&mut self, t: usize, unit: &Unit, cpu: SimTime) {
-        let init = self.threads[t].init;
-        let im = &mut self.initiators[init];
-        im.groups_done += unit.plain_groups;
-        im.blocks_done += unit.blocks as u64;
-        im.group_latency.record(cpu.since(unit.submitted));
-        im.finished_at = im.finished_at.max(cpu);
+    /// Accounts `groups` groups of `blocks` blocks in total, submitted
+    /// by thread `t` at `submitted`, as delivered at `at`: the run and
+    /// per-initiator counters, the group latency histograms, and the
+    /// telemetry series.
+    fn note_delivered(
+        &mut self,
+        t: usize,
+        groups: u64,
+        blocks: u64,
+        submitted: SimTime,
+        at: SimTime,
+    ) {
+        self.groups_done += groups;
+        self.blocks_done += blocks;
+        if let Some(tm) = &mut self.telemetry {
+            tm.delivered(at, groups, blocks);
+        }
+        let latency = at.since(submitted);
+        self.group_latency.record(latency);
+        self.last_completion = self.last_completion.max(at);
+        let im = &mut self.initiators[self.threads[t].init];
+        im.groups_done += groups;
+        im.blocks_done += blocks;
+        im.group_latency.record(latency);
+        im.finished_at = im.finished_at.max(at);
     }
 
     /// Linux mode: after the ordered write completes, send a FLUSH leg
@@ -2362,26 +2303,8 @@ impl Cluster {
         }
         self.threads[t].sync_stage = SyncStage::AwaitFlush { remaining: 1 };
         let c = self.init_run_on(t, cpu, self.cfg.cpu.cmd_post);
-        let flush_cmd = Cmd {
-            kind: CmdKind::Flush,
-            thread: t,
-            target: cmd.target,
-            ssd: cmd.ssd,
-            qp: cmd.qp,
-            phys: BlockRange::new(0, 1),
-            tag: 0,
-            attr: None,
-            flush_embedded: false,
-            unit: u64::MAX,
-            data_ready: SimTime::FAR_FUTURE,
-            driver_ready: SimTime::FAR_FUTURE,
-            retx_pkts: 0,
-            retx_bytes: 0,
-            retx_corrupt: false,
-            digest: PayloadDigest::NONE,
-            slot: None,
-            trace: TRACE_NONE,
-        };
+        let phys = BlockRange::new(0, 1);
+        let flush_cmd = Cmd::new(CmdKind::Flush, t, cmd.target, cmd.ssd, cmd.qp, phys);
         self.send_cmd(c, cpu, flush_cmd);
     }
 
@@ -2792,18 +2715,7 @@ impl Cluster {
                     let info = self.group_info[s]
                         .remove(seq)
                         .expect("undelivered group is tracked");
-                    self.groups_done += 1;
-                    self.blocks_done += spec.blocks() as u64;
-                    if let Some(tm) = &mut self.telemetry {
-                        tm.delivered(resumed_at, 1, spec.blocks() as u64);
-                    }
-                    self.group_latency.record(resumed_at.since(info.submitted));
-                    let init = self.threads[t].init;
-                    let im = &mut self.initiators[init];
-                    im.groups_done += 1;
-                    im.blocks_done += spec.blocks() as u64;
-                    im.group_latency.record(resumed_at.since(info.submitted));
-                    im.finished_at = im.finished_at.max(resumed_at);
+                    self.note_delivered(t, 1, spec.blocks() as u64, info.submitted, resumed_at);
                     redelivered += 1;
                 }
                 // 2. Everything beyond the prefix was rolled back:
@@ -2819,9 +2731,6 @@ impl Cluster {
                     self.threads[t].queue.push_front(spec);
                 }
                 self.group_info[s] = GroupInfoRing::default();
-                if redelivered > 0 {
-                    self.last_completion = self.last_completion.max(resumed_at);
-                }
                 let th = &mut self.threads[t];
                 th.inflight = 0;
                 th.parked = false;
@@ -3378,6 +3287,22 @@ mod tests {
         let m = Cluster::new(cfg, Workload::fsync_append(threads, ops)).run();
         assert_eq!(m.ops_done, threads as u64 * ops, "every fsync returns once");
         assert_eq!(m.groups_done, threads as u64 * ops * 3, "D/JM/JC each once");
+    }
+
+    #[test]
+    #[should_panic(expected = "need an in-flight window of at least one group")]
+    fn zero_inflight_window_rejected() {
+        let mut cfg = two_target_cfg(2);
+        cfg.max_inflight_per_stream = 0;
+        let _ = Cluster::new(cfg, Workload::random_4k(2, 100));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one QP per target")]
+    fn zero_qps_per_target_rejected() {
+        let mut cfg = two_target_cfg(2);
+        cfg.qps_per_target = 0;
+        let _ = Cluster::new(cfg, Workload::random_4k(2, 100));
     }
 
     #[test]
