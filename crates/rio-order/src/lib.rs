@@ -33,7 +33,6 @@
 pub mod attr;
 pub mod completion;
 pub mod gate;
-pub mod librio;
 pub mod pmrlog;
 pub mod recovery;
 pub mod scheduler;
@@ -42,7 +41,6 @@ pub mod sequencer;
 pub use attr::{BlockRange, OrderingAttr, Seq, ServerId, SplitInfo, StreamId};
 pub use completion::InOrderCompleter;
 pub use gate::SubmissionGate;
-pub use librio::{Rio, RioSetup};
 pub use pmrlog::{PmrLog, PmrWrite, SlotRef};
 pub use recovery::{
     DiscardOp, IpuEvent, RecoveryInput, RecoveryMode, RecoveryPlan, ReplayOp, ServerScan,

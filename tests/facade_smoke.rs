@@ -7,8 +7,8 @@ use rio::block::{Bio, BioFlags, Plug, StripedVolume};
 use rio::fs::{BlockDev, MemDev, OrderedDev, RioFs};
 use rio::net::{Fabric, FabricProfile};
 use rio::order::{
-    BlockRange, InOrderCompleter, OrderQueue, OrderQueueConfig, OrderingAttr, PmrLog, Rio,
-    Sequencer, StreamId, SubmissionGate, SubmitOpts,
+    BlockRange, InOrderCompleter, OrderQueue, OrderQueueConfig, OrderingAttr, PmrLog, Sequencer,
+    StreamId, SubmissionGate, SubmitOpts,
 };
 use rio::proto::{Cqe, NvmOpcode, PmrRecord, RioExt, RioFlags, RioOpcode, Sqe, Status};
 use rio::sim::{EventHeap, SimDuration, SimRng, SimTime};
@@ -51,7 +51,6 @@ fn facade_types_construct() {
             Option<Fabric>,
             Option<InOrderCompleter>,
             Option<OrderingAttr>,
-            Option<Rio>,
             Option<SubmissionGate>,
             Option<SubmitOpts>,
             Option<Cqe>,
