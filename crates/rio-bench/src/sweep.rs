@@ -7,9 +7,13 @@
 //! never vary — so the JSON tracks only how fast the engine itself
 //! executes, PR over PR. The regression gate ([`crate::gate`]) compares
 //! a committed baseline against a re-run of the same grid.
+//!
+//! The `micro` bench's timers live here too: this is the one file lint
+//! D2 lets read the host clock.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use rio_ssd::SsdProfile;
 use rio_stack::{Cluster, ClusterConfig, FabricConfig, OrderingMode, Workload};
@@ -366,9 +370,85 @@ pub fn render_json(cells: &[Cell], smoke: bool, calib_secs: f64) -> String {
     out
 }
 
+/// Timed samples per microbenchmark.
+const MICRO_SAMPLES: usize = 20;
+/// Calls timed one by one in each sample of [`micro_batched`].
+const MICRO_BATCH: u32 = 16;
+
+/// Times `routine` for the `micro` bench. After an untimed warm-up of a
+/// quarter of `measure`, each sample runs the call count that fills its
+/// share of `measure`, calibrated on one first call. Prints `name` with
+/// the minimum, mean and maximum ns per call and returns the mean.
+pub fn micro<O>(name: &str, measure: Duration, mut routine: impl FnMut() -> O) -> f64 {
+    let first = Instant::now();
+    black_box(routine());
+    let once = first.elapsed().as_secs_f64().max(1e-9);
+    let slice = measure.as_secs_f64() / MICRO_SAMPLES as f64;
+    let iters = (slice / once).clamp(1.0, 1e7) as u64;
+    let warm_until = Instant::now() + measure / 4;
+    while Instant::now() < warm_until {
+        black_box(routine());
+    }
+    let samples: Vec<f64> = (0..MICRO_SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    print_micro(name, &samples)
+}
+
+/// [`micro`] for a routine that consumes its input: `setup` builds
+/// each call's input untimed, and each sample times 16 calls one by
+/// one.
+pub fn micro_batched<I, O>(
+    name: &str,
+    measure: Duration,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(I) -> O,
+) -> f64 {
+    let warm_until = Instant::now() + measure / 4;
+    while Instant::now() < warm_until {
+        black_box(routine(setup()));
+    }
+    let samples: Vec<f64> = (0..MICRO_SAMPLES)
+        .map(|_| {
+            let mut total = Duration::ZERO;
+            for _ in 0..MICRO_BATCH {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                total += start.elapsed();
+            }
+            total.as_nanos() as f64 / MICRO_BATCH as f64
+        })
+        .collect();
+    print_micro(name, &samples)
+}
+
+/// Prints one microbenchmark line and returns the mean ns per call.
+fn print_micro(name: &str, samples: &[f64]) -> f64 {
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = samples.iter().copied().fold(0.0, f64::max);
+    println!("{name:<32} time: [{min:>10.1} ns {mean:>10.1} ns {max:>10.1} ns]/iter");
+    mean
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn micro_timers_report_positive_means() {
+        let measure = Duration::from_millis(8);
+        assert!(micro("sum_1k", measure, || (0..black_box(1000u64)).sum::<u64>()) > 0.0);
+        let sum = |v: Vec<u64>| v.into_iter().sum::<u64>();
+        assert!(micro_batched("batched", measure, || vec![1u64; 64], sum) > 0.0);
+    }
 
     #[test]
     fn grid_shape_is_pinned() {
