@@ -1,10 +1,19 @@
-//! Microbenchmarks of the ordering core's hot paths.
+//! Microbenchmarks of the ordering core's and the integrity path's hot
+//! paths.
 //!
 //! These measure the *real* CPU cost of the data structures the paper's
 //! design leans on: attribute stamping, whole-group merging, PMR log
-//! append/scan, recovery's global merge, and wire encoding. Each case
+//! append/scan, recovery's global merge, and wire encoding; and of the
+//! end-to-end integrity path: CRC-32C over a 4 KB block, payload
+//! generation and verification, and one sealed SSD write. Each case
 //! prints its minimum, mean and maximum ns per iteration.
+//!
+//! ```sh
+//! cargo bench -p rio-bench --bench micro              # 2 s per case
+//! cargo bench -p rio-bench --bench micro -- --smoke   # 100 ms per case
+//! ```
 
+use std::hint::black_box;
 use std::time::Duration;
 
 use rio_bench::sweep::{micro, micro_batched};
@@ -14,16 +23,20 @@ use rio_order::recovery::{RecoveryInput, RecoveryMode, RecoveryPlan, ServerScan}
 use rio_order::scheduler::{OrderQueue, OrderQueueConfig};
 use rio_order::sequencer::{Sequencer, SubmitOpts};
 use rio_order::{attr::Seq, attr::ServerId, InOrderCompleter, SubmissionGate};
-use rio_proto::{RioExt, Sqe};
+use rio_proto::payload::{self, BLOCK_BYTES};
+use rio_proto::{crc32c, RioExt, Sqe};
 use rio_sim::{EventHeap, SimTime};
+use rio_ssd::{BlockImage, Ssd, SsdProfile};
 
 /// Timed budget of each case, after a quarter of it as warm-up.
 const MEASURE: Duration = Duration::from_secs(2);
+/// The per-case budget under `--smoke`.
+const SMOKE_MEASURE: Duration = Duration::from_millis(100);
 
-fn bench_sequencer() {
+fn bench_sequencer(measure: Duration) {
     let mut seq = Sequencer::new(1, 2);
     let mut i = 0u64;
-    micro("sequencer_stamp", MEASURE, || {
+    micro("sequencer_stamp", measure, || {
         let mut attr = seq.submit(
             StreamId(0),
             BlockRange::new(i % 100_000, 1),
@@ -38,10 +51,10 @@ fn bench_sequencer() {
     });
 }
 
-fn bench_merge() {
+fn bench_merge(measure: Duration) {
     micro_batched(
         "order_queue_merge_16",
-        MEASURE,
+        measure,
         || {
             let mut seq = Sequencer::new(1, 1);
             let mut q = OrderQueue::new(StreamId(0), OrderQueueConfig::default());
@@ -62,7 +75,7 @@ fn bench_merge() {
     );
 }
 
-fn bench_pmr_log() {
+fn bench_pmr_log(measure: Duration) {
     let (mut log, _) = PmrLog::format(2 * 1024 * 1024, 24);
     let mut seq = Sequencer::new(1, 1);
     let attr = seq.submit(
@@ -75,7 +88,7 @@ fn bench_pmr_log() {
     );
     let rec = attr.to_pmr_record(0);
     let mut appended = Vec::new();
-    micro("pmr_log_append", MEASURE, || {
+    micro("pmr_log_append", measure, || {
         if log.is_full() {
             for s in appended.drain(..) {
                 log.free(s);
@@ -87,7 +100,7 @@ fn bench_pmr_log() {
     });
 }
 
-fn bench_pmr_scan() {
+fn bench_pmr_scan(measure: Duration) {
     let mut region = vec![0u8; 2 * 1024 * 1024];
     let (mut log, writes) = PmrLog::format(region.len(), 24);
     for w in &writes {
@@ -106,12 +119,12 @@ fn bench_pmr_scan() {
         let (_, w) = log.append(&attr.to_pmr_record(0)).expect("space");
         region[w.offset..w.offset + w.bytes.len()].copy_from_slice(&w.bytes);
     }
-    micro("pmr_scan_2mb", MEASURE, || {
+    micro("pmr_scan_2mb", measure, || {
         PmrLog::scan(&region).expect("formatted").records.len()
     });
 }
 
-fn bench_recovery() {
+fn bench_recovery(measure: Duration) {
     let mut seq = Sequencer::new(1, 2);
     let mut records = Vec::new();
     for i in 0..10_000u64 {
@@ -143,12 +156,12 @@ fn bench_recovery() {
         scans,
         mode: RecoveryMode::InitiatorRestart,
     };
-    micro("recovery_merge_10k", MEASURE, || {
+    micro("recovery_merge_10k", measure, || {
         RecoveryPlan::compute(&input).streams.len()
     });
 }
 
-fn bench_event_heap() {
+fn bench_event_heap(measure: Duration) {
     // Steady-state engine rhythm: a 64-deep heap cycling one event
     // per step, the slab reusing slots with no allocation.
     let mut heap = EventHeap::with_capacity(64);
@@ -156,7 +169,7 @@ fn bench_event_heap() {
     for i in 0..64u64 {
         heap.push(SimTime::from_nanos(i), i);
     }
-    micro("event_heap_push_pop", MEASURE, || {
+    micro("event_heap_push_pop", measure, || {
         let (t, v) = heap.pop().expect("non-empty");
         now += 1;
         heap.push(SimTime::from_nanos(t.as_nanos() + 64), v ^ now);
@@ -164,7 +177,7 @@ fn bench_event_heap() {
     });
 }
 
-fn bench_completion_ring() {
+fn bench_completion_ring(measure: Duration) {
     // Out-of-order internal completions over a 16-group window:
     // 15 buffer, the 16th releases the whole prefix.
     let mk = |seq: u32| {
@@ -176,7 +189,7 @@ fn bench_completion_ring() {
     let mut base = 0u32;
     let mut released = Vec::with_capacity(16);
     let mut completer = InOrderCompleter::with_window(1, 32);
-    micro("completion_ring_release", MEASURE, || {
+    micro("completion_ring_release", measure, || {
         for seq in (base + 2..=base + 16).rev() {
             completer.on_done_into(&mk(seq), &mut released);
         }
@@ -188,14 +201,14 @@ fn bench_completion_ring() {
     });
 }
 
-fn bench_gate() {
+fn bench_gate(measure: Duration) {
     // The pinned-stream fast path: every arrival is in dispatch
     // order and passes straight through without buffering.
     let mut gate = SubmissionGate::with_streams(1);
     let mut idx = 0u64;
     let mut released = Vec::with_capacity(4);
     let proto = OrderingAttr::single(StreamId(0), Seq(1), BlockRange::new(0, 1));
-    micro("gate_admit", MEASURE, || {
+    micro("gate_admit", measure, || {
         let mut attr = proto;
         attr.dispatch_idx = idx;
         gate.arrive_into(attr, idx, &mut released);
@@ -206,7 +219,7 @@ fn bench_gate() {
     });
 }
 
-fn bench_wire() {
+fn bench_wire(measure: Duration) {
     let mut seq = Sequencer::new(1, 1);
     let attr = seq.submit(
         StreamId(0),
@@ -217,7 +230,7 @@ fn bench_wire() {
         },
     );
     let ext = attr.to_wire();
-    micro("sqe_encode_decode", MEASURE, || {
+    micro("sqe_encode_decode", measure, || {
         let mut sqe = Sqe::write(3, 77, 8);
         ext.embed(&mut sqe);
         let bytes = sqe.encode();
@@ -226,17 +239,62 @@ fn bench_wire() {
     });
 }
 
+fn bench_crc32c(measure: Duration) {
+    let block = payload::block_for(payload::seed_for(0, 1, 2));
+    micro("crc32c_4k", measure, || crc32c(black_box(&block)));
+}
+
+fn bench_payload(measure: Duration) {
+    let mut buf = [0u8; BLOCK_BYTES];
+    let mut seed = 0u64;
+    micro("payload_fill_4k", measure, || {
+        seed += 1;
+        payload::fill_block(seed, &mut buf);
+        buf[BLOCK_BYTES - 1]
+    });
+    let block = payload::block_for(payload::seed_for(3, 4, 5));
+    micro("payload_verify_4k", measure, || {
+        assert!(payload::verify_block(black_box(&block)));
+    });
+}
+
+fn bench_ssd_sealed_write(measure: Duration) {
+    // One sealed 4 KB payload write on a PLP drive, settled at its
+    // completion: the seal (payload fill and CRC-32C) plus the device
+    // model's bookkeeping.
+    let mut ssd = Ssd::new(SsdProfile::optane905p(), 42);
+    ssd.set_integrity(true);
+    let mut now = SimTime::ZERO;
+    let mut i = 0u64;
+    micro("ssd_write_sealed_payload", measure, || {
+        let lba = i % 4096;
+        let image = BlockImage::Payload(payload::seed_for(0, i, lba));
+        let (_, done) = ssd.submit_write(now, lba, vec![image], false);
+        ssd.advance(done);
+        now = done;
+        i += 1;
+        done
+    });
+}
+
 fn main() {
-    bench_sequencer();
-    bench_merge();
-    bench_pmr_log();
-    bench_pmr_scan();
-    bench_recovery();
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let measure = if smoke { SMOKE_MEASURE } else { MEASURE };
+    bench_sequencer(measure);
+    bench_merge(measure);
+    bench_pmr_log(measure);
+    bench_pmr_scan(measure);
+    bench_recovery(measure);
     // Hot-path data structures of the engine and ordering core: the
     // event heap's push/pop cycle, the completion ring's buffered
     // release, and the submission gate's in-order admit.
-    bench_event_heap();
-    bench_completion_ring();
-    bench_gate();
-    bench_wire();
+    bench_event_heap(measure);
+    bench_completion_ring(measure);
+    bench_gate(measure);
+    bench_wire(measure);
+    // The integrity path: the CRC-32C seal, payload generation and
+    // verification, and a sealed write through the SSD model.
+    bench_crc32c(measure);
+    bench_payload(measure);
+    bench_ssd_sealed_write(measure);
 }

@@ -2,10 +2,12 @@
 //! checks.
 //!
 //! The simulated stack does not ship application bytes through every
-//! queue — it ships a compact 8-byte *seed* per block and materialises
-//! the full 4 KB image only where bytes matter: at the device, where
-//! the block lands on media under a CRC-32C seal, and in tests that
-//! read media back. A block's bytes are a pure function of its seed
+//! queue — it ships a compact 8-byte *seed* per block, and the device
+//! stores that seed too. The full 4 KB image is materialised only
+//! where bytes matter: transiently, to compute the CRC-32C seal a
+//! block lands on media under; when a torn write or bit rot damages a
+//! stored block; and when media is read back (scrub, verification,
+//! tests). A block's bytes are a pure function of its seed
 //! (the seed itself occupies the first 8 bytes, followed by a
 //! SplitMix64 word stream), so "the recovered bytes equal the
 //! submitted bytes" is checkable from the block alone: re-derive the
@@ -83,9 +85,12 @@ pub fn verify_block(block: &[u8]) -> bool {
 }
 
 /// CRC-32C seal of the payload image of `seed` (what a clean media
-/// landing records).
+/// landing records). The image is materialised on the stack, so
+/// sealing allocates nothing.
 pub fn seal_for(seed: u64) -> u32 {
-    crc32c(&block_for(seed))
+    let mut block = [0u8; BLOCK_BYTES];
+    fill_block(seed, &mut block);
+    crc32c(&block)
 }
 
 #[cfg(test)]

@@ -1,8 +1,11 @@
 //! The persistent block store behind the write cache.
 //!
 //! Stores a [`BlockImage`] per logical block. File-system tests write
-//! real bytes; raw block benchmarks use cheap tags, so a simulated
-//! multi-gigabyte run costs megabytes of host memory.
+//! real bytes; raw block benchmarks use cheap tags, and integrity runs
+//! store each [`rio_proto::payload`] block as its 8-byte seed, so a
+//! simulated multi-gigabyte run costs megabytes of host memory. A
+//! payload block becomes real bytes only when it is damaged (a torn
+//! write or bit rot) or read back.
 //!
 //! With end-to-end integrity on, every block that lands on media is
 //! *sealed*: the store records the CRC-32C of the intended image next
@@ -11,6 +14,8 @@
 //! leaves the two inconsistent, which is exactly what a recovery scrub
 //! checks for.
 
+use rio_proto::crc32c;
+use rio_proto::payload::{self, BLOCK_BYTES};
 use rio_sim::FxHashMap;
 
 /// Contents of one 4 KB block.
@@ -20,27 +25,59 @@ pub enum BlockImage {
     Zero,
     /// A benchmark write identified by a token instead of real bytes.
     Tag(u64),
-    /// Real data (file-system paths).
+    /// Real data (file-system paths, and damaged payload blocks).
     Bytes(Box<[u8]>),
+    /// A [`rio_proto::payload`] block held as its seed; its bytes are
+    /// [`payload::fill_block`] of the seed.
+    Payload(u64),
 }
 
 impl BlockImage {
-    /// Materialises the block as bytes of length `block_size`.
-    pub fn to_bytes(&self, block_size: usize) -> Vec<u8> {
+    /// Materialises the block into `out`, whose length is the block
+    /// size: shorter images are zero-padded, longer ones truncated.
+    pub fn fill_bytes(&self, out: &mut [u8]) {
         match self {
-            BlockImage::Zero => vec![0; block_size],
-            BlockImage::Tag(t) => {
-                let mut v = vec![0; block_size];
-                v[..8].copy_from_slice(&t.to_le_bytes());
-                v
+            BlockImage::Zero => out.fill(0),
+            BlockImage::Tag(t) => copy_padded(&t.to_le_bytes(), out),
+            BlockImage::Bytes(b) => copy_padded(b, out),
+            BlockImage::Payload(seed) if out.len() == BLOCK_BYTES => {
+                payload::fill_block(*seed, out)
             }
-            BlockImage::Bytes(b) => {
-                let mut v = b.to_vec();
-                v.resize(block_size, 0);
-                v
+            BlockImage::Payload(seed) => {
+                let mut block = [0u8; BLOCK_BYTES];
+                payload::fill_block(*seed, &mut block);
+                copy_padded(&block, out);
             }
         }
     }
+
+    /// Materialises the block as bytes of length `block_size`.
+    pub fn to_bytes(&self, block_size: usize) -> Vec<u8> {
+        let mut v = vec![0; block_size];
+        self.fill_bytes(&mut v);
+        v
+    }
+
+    /// CRC-32C of the block's 4 KB image: the seal a clean media
+    /// landing records. Allocates nothing.
+    pub fn seal(&self) -> u32 {
+        match self {
+            BlockImage::Payload(seed) => payload::seal_for(*seed),
+            BlockImage::Bytes(b) if b.len() == BLOCK_BYTES => crc32c(b),
+            _ => {
+                let mut block = [0u8; BLOCK_BYTES];
+                self.fill_bytes(&mut block);
+                crc32c(&block)
+            }
+        }
+    }
+}
+
+/// Copies the prefix of `src` that fits into `out` and zeroes the rest.
+fn copy_padded(src: &[u8], out: &mut [u8]) {
+    let n = src.len().min(out.len());
+    out[..n].copy_from_slice(&src[..n]);
+    out[n..].fill(0);
 }
 
 /// A sparse persistent store of block images with write versioning.
@@ -119,6 +156,15 @@ impl BlockStore {
             .get(&lba)
             .map(|(_, img)| img.clone())
             .unwrap_or(BlockImage::Zero)
+    }
+
+    /// Materialises one block into `out` (see [`BlockImage::fill_bytes`])
+    /// without cloning its image; unwritten blocks read back as zeroes.
+    pub fn read_into(&self, lba: u64, out: &mut [u8]) {
+        match self.blocks.get(&lba) {
+            Some((_, img)) => img.fill_bytes(out),
+            None => out.fill(0),
+        }
     }
 
     /// The version of the last write to `lba` (0 when never written).
@@ -219,6 +265,72 @@ mod tests {
         assert_eq!(clean[1] ^ 2, rotten[1], "exactly bit 9 flipped");
         assert_eq!(s.seal(1), Some(123), "seal untouched by rot");
         assert!(!s.flip_bit(99, 0, 64), "absent block cannot rot");
+    }
+
+    #[test]
+    fn payload_image_materialises_its_seed_block() {
+        let seed = payload::seed_for(2, 40, 9);
+        assert_eq!(
+            BlockImage::Payload(seed).to_bytes(BLOCK_BYTES),
+            payload::block_for(seed).to_vec()
+        );
+    }
+
+    #[test]
+    fn payload_image_pads_or_truncates_like_bytes() {
+        let seed = payload::seed_for(1, 2, 3);
+        let bytes = BlockImage::Bytes(payload::block_for(seed));
+        for size in [0, 5, 64, BLOCK_BYTES - 1, BLOCK_BYTES + 100] {
+            assert_eq!(
+                BlockImage::Payload(seed).to_bytes(size),
+                bytes.to_bytes(size),
+                "block size {size}"
+            );
+        }
+    }
+
+    #[test]
+    fn seal_is_the_crc_of_the_4k_image() {
+        for img in [
+            BlockImage::Zero,
+            BlockImage::Tag(0xABCD),
+            BlockImage::Bytes(vec![7; 100].into_boxed_slice()),
+            BlockImage::Bytes(vec![9; BLOCK_BYTES].into_boxed_slice()),
+            BlockImage::Payload(11),
+        ] {
+            assert_eq!(img.seal(), crc32c(&img.to_bytes(BLOCK_BYTES)), "{img:?}");
+        }
+    }
+
+    #[test]
+    fn flip_bit_on_payload_yields_bytes_with_one_bit_changed() {
+        let seed = payload::seed_for(0, 5, 6);
+        let clean = payload::block_for(seed);
+        let mut s = BlockStore::new();
+        s.write_sealed(4, BlockImage::Payload(seed), payload::seal_for(seed));
+        assert!(s.flip_bit(4, 8 * 1000 + 5, BLOCK_BYTES));
+        let BlockImage::Bytes(rotten) = s.read(4) else {
+            panic!("a rotted payload block is stored as bytes");
+        };
+        let diff: u32 = clean
+            .iter()
+            .zip(rotten.iter())
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
+        assert_eq!(diff, 1, "exactly one bit changed");
+        assert_eq!(clean[1000] ^ rotten[1000], 1 << 5);
+        assert_eq!(s.seal(4), Some(payload::seal_for(seed)), "seal kept");
+    }
+
+    #[test]
+    fn read_into_matches_read_and_zeroes_unwritten() {
+        let mut s = BlockStore::new();
+        s.write(1, BlockImage::Payload(77));
+        let mut buf = [0xEEu8; BLOCK_BYTES];
+        s.read_into(1, &mut buf);
+        assert_eq!(buf.to_vec(), s.read(1).to_bytes(BLOCK_BYTES));
+        s.read_into(2, &mut buf);
+        assert!(buf.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -373,10 +373,7 @@ impl Ssd {
         // On integrity runs, seal each block with the CRC of the image
         // the submitter intends to land.
         let crcs: Vec<u32> = if self.integrity {
-            images
-                .iter()
-                .map(|img| crc32c(&img.to_bytes(BLOCK_SIZE as usize)))
-                .collect()
+            images.iter().map(BlockImage::seal).collect()
         } else {
             Vec::new()
         };
@@ -555,7 +552,7 @@ impl Ssd {
             self.pending.sort_unstable_by_key(|(k, _)| *k);
             let inflight = self.pending.iter().find_map(|(_, op)| match op {
                 PendingOp::DurableWrite { lba, images, crcs } if !crcs.is_empty() => {
-                    Some((*lba, images[0].clone(), crcs[0]))
+                    Some((*lba, &images[0], crcs[0]))
                 }
                 _ => None,
             });
@@ -563,7 +560,7 @@ impl Ssd {
                 .cache
                 .front()
                 .filter(|e| !e.crcs.is_empty() && !e.images.is_empty())
-                .map(|e| (e.lba, e.images[0].clone(), e.crcs[0]));
+                .map(|e| (e.lba, &e.images[0], e.crcs[0]));
             if let Some((lba, img, seal)) = inflight.or(mid_drain) {
                 let mut bytes = img.to_bytes(BLOCK_SIZE as usize);
                 for b in &mut bytes[BLOCK_SIZE as usize / 2..] {
@@ -614,9 +611,10 @@ impl Ssd {
     pub fn scrub(&self) -> (u64, Vec<u64>) {
         let lbas = self.media.sealed_lbas();
         let mut corrupt = Vec::new();
+        let mut bytes = [0u8; BLOCK_SIZE as usize];
         for &lba in &lbas {
             let seal = self.media.seal(lba).expect("sealed block has a seal");
-            let bytes = self.media.read(lba).to_bytes(BLOCK_SIZE as usize);
+            self.media.read_into(lba, &mut bytes);
             if crc32c(&bytes) != seal {
                 corrupt.push(lba);
             }
@@ -636,8 +634,10 @@ impl Ssd {
     /// [`rio_proto::payload`] blocks (seal checks alone cannot tell a
     /// coherent wrong-data overwrite from the intended write).
     pub fn payload_verified(&self) -> bool {
+        let mut bytes = [0u8; BLOCK_SIZE as usize];
         self.media.sealed_lbas().iter().all(|&lba| {
-            rio_proto::payload::verify_block(&self.media.read(lba).to_bytes(BLOCK_SIZE as usize))
+            self.media.read_into(lba, &mut bytes);
+            rio_proto::payload::verify_block(&bytes)
         })
     }
 
@@ -932,6 +932,62 @@ mod tests {
         assert_eq!(torn, 1);
         let (_, corrupt) = s.scrub();
         assert_eq!(corrupt, vec![8]);
+    }
+
+    fn payload_block(seed: u64) -> Vec<BlockImage> {
+        vec![BlockImage::Payload(seed)]
+    }
+
+    #[test]
+    fn payload_write_is_sealed_with_the_crc_of_its_bytes() {
+        let mut s = ssd(SsdProfile::optane905p());
+        s.set_integrity(true);
+        let seed = rio_proto::payload::seed_for(1, 3, 5);
+        let (_, done) = s.submit_write(SimTime::ZERO, 5, payload_block(seed), false);
+        s.advance(done);
+        assert_eq!(
+            s.media.seal(5),
+            Some(crc32c(&rio_proto::payload::block_for(seed)))
+        );
+        assert_eq!(s.durable_read(5), BlockImage::Payload(seed));
+        assert!(s.media_verified());
+        assert!(s.payload_verified());
+    }
+
+    #[test]
+    fn torn_payload_write_is_scrubbed_and_fails_payload_check() {
+        let mut s = ssd(SsdProfile::optane905p());
+        s.set_integrity(true);
+        let seed = |lba| rio_proto::payload::seed_for(0, 1, lba);
+        let (_, d0) = s.submit_write(SimTime::ZERO, 1, payload_block(seed(1)), false);
+        s.advance(d0);
+        let (_, done) = s.submit_write(d0, 5, payload_block(seed(5)), false);
+        assert!(s.payload_verified(), "settled payload verifies");
+        let torn = s.crash(SimTime::from_nanos(d0.as_nanos() / 2 + done.as_nanos() / 2));
+        assert_eq!(torn, 1);
+        assert_eq!(s.scrub(), (2, vec![5]), "the torn block is caught");
+        assert!(!s.payload_verified());
+        assert!(matches!(s.durable_read(5), BlockImage::Bytes(_)));
+        assert_eq!(s.durable_read(1), BlockImage::Payload(seed(1)));
+    }
+
+    #[test]
+    fn rotted_payload_blocks_are_scrubbed_and_fail_payload_check() {
+        let mut s = ssd(SsdProfile::optane905p());
+        s.set_integrity(true);
+        let mut now = SimTime::ZERO;
+        for lba in 0..4 {
+            let img = payload_block(rio_proto::payload::seed_for(0, 2, lba));
+            let (_, done) = s.submit_write(now, lba, img, false);
+            now = done;
+        }
+        s.advance(now);
+        assert!(s.payload_verified());
+        assert_eq!(s.rot_at_rest(2), 2);
+        let (scanned, corrupt) = s.scrub();
+        assert_eq!(scanned, 4);
+        assert_eq!(corrupt.len(), 2, "every rotted block detected");
+        assert!(!s.payload_verified());
     }
 
     #[test]

@@ -208,9 +208,7 @@ impl Cluster {
                 digest,
                 "corrupted payload reached the target SSD queue"
             );
-            let images = seeds
-                .map(|s| BlockImage::Bytes(payload::block_for(s)))
-                .collect();
+            let images = seeds.map(BlockImage::Payload).collect();
             (at, images)
         } else {
             (now, vec![BlockImage::Tag(tag); blocks as usize])
